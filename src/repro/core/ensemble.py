@@ -26,11 +26,10 @@ from __future__ import annotations
 import statistics
 from typing import Iterable, Sequence
 
-from repro.coverage.bipartite import BipartiteGraph
 from repro.core.hashing import UniformHash
 from repro.core.params import SketchParams
 from repro.core.sketch import CoverageSketch
-from repro.core.streaming_sketch import StreamingSketchBuilder
+from repro.core.streaming_sketch import AdmissionGroup, StreamingSketchBuilder
 from repro.offline.greedy import greedy_k_cover
 from repro.parallel import ExecutorBackend, ParallelMapper, as_mapper
 from repro.streaming.batches import EventBatch
@@ -42,12 +41,12 @@ from repro.utils.validation import check_positive_int
 __all__ = ["SketchEnsemble", "EnsembleKCover"]
 
 
-def _replica_greedy_job(job: tuple[BipartiteGraph, int, str | None]) -> list[int]:
+def _replica_greedy_job(job: tuple[CoverageSketch, int, str | None]) -> list[int]:
     """Greedy on one replica sketch (top-level so process pools can ship it)."""
     from repro.coverage.bitset import kernel_for
 
-    graph, k, coverage_backend = job
-    return greedy_k_cover(graph, k, kernel=kernel_for(graph, coverage_backend)).selected
+    sketch, k, coverage_backend = job
+    return greedy_k_cover(sketch, k, kernel=kernel_for(sketch, coverage_backend)).selected
 
 
 class SketchEnsemble:
@@ -102,6 +101,7 @@ class SketchEnsemble:
             )
             for index in range(replicas)
         ]
+        self._group = AdmissionGroup(self._builders, self.space)
         self._sketches: list[CoverageSketch] | None = None
 
     # ------------------------------------------------------------------ #
@@ -110,26 +110,22 @@ class SketchEnsemble:
     def add_edge(self, set_id: int, element: int) -> None:
         """Feed one membership edge to every replica."""
         self._sketches = None
-        for builder in self._builders:
-            builder.add_edge(set_id, element)
+        self._group.add_edge(set_id, element)
 
     def process(self, event: EdgeArrival) -> None:
-        """Feed one :class:`EdgeArrival` to every replica."""
-        self.add_edge(event.set_id, event.element)
+        """Feed one :class:`EdgeArrival` to every replica (buffered)."""
+        self._sketches = None
+        self._group.process(event)
 
     def process_batch(self, batch: EventBatch) -> None:
         """Feed a columnar edge batch to every replica (vectorised per replica)."""
         self._sketches = None
-        for builder in self._builders:
-            builder.process_batch(batch)
+        self._group.process_batch(batch)
 
     def consume(self, events: Iterable[EdgeArrival | tuple[int, int]]) -> None:
         """Feed a whole stream of edges."""
-        for event in events:
-            if isinstance(event, EdgeArrival):
-                self.add_edge(event.set_id, event.element)
-            else:
-                self.add_edge(event[0], event[1])
+        self._sketches = None
+        self._group.consume(events)
 
     # ------------------------------------------------------------------ #
     # aggregation
@@ -137,6 +133,7 @@ class SketchEnsemble:
     def sketches(self) -> list[CoverageSketch]:
         """The current replica sketches (finalised lazily, cached)."""
         if self._sketches is None:
+            self._group.flush()
             self._sketches = [builder.sketch() for builder in self._builders]
         return self._sketches
 
@@ -165,7 +162,7 @@ class SketchEnsemble:
         check_positive_int(k, "k")
         candidates = self.mapper.map(
             _replica_greedy_job,
-            [(sketch.graph, k, self.coverage_backend) for sketch in self.sketches()],
+            [(sketch, k, self.coverage_backend) for sketch in self.sketches()],
         )
         best_solution: list[int] = []
         best_estimate = -1.0

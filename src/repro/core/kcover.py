@@ -146,19 +146,23 @@ class StreamingKCover:
             rank_source=rank_source,
             space=self.space,
         )
-        self._solver = solver or self._kernel_greedy_solver
+        self._solver = solver
         self._finished = False
         self._solution: list[int] | None = None
 
-    def _kernel_greedy_solver(self, graph: BipartiteGraph, k: int) -> list[int]:
-        """Default offline phase: greedy on the sketch, kernel-backed on request."""
+    def _greedy_on_sketch(self, sketch: CoverageSketch) -> list[int]:
+        """Default offline phase: the lazy greedy on the sketch's member sets.
+
+        The member sets come straight from the sketch columns, and a
+        requested kernel is packed from them too — no graph is built.
+        """
         from repro.coverage.bitset import kernel_for
 
         return greedy_k_cover(
-            graph,
-            k,
+            sketch,
+            self.k,
             forbidden=self.forbidden,
-            kernel=kernel_for(graph, self.coverage_backend),
+            kernel=kernel_for(sketch, self.coverage_backend),
         ).selected
 
     # ------------------------------------------------------------------ #
@@ -170,7 +174,7 @@ class StreamingKCover:
             raise RuntimeError("StreamingKCover is a single-pass algorithm")
 
     def process(self, event: EdgeArrival) -> None:
-        """Feed one membership edge into the sketch builder."""
+        """Feed one membership edge into the sketch builder (buffered)."""
         self._builder.process(event)
 
     def process_batch(self, batch: EventBatch) -> None:
@@ -189,7 +193,11 @@ class StreamingKCover:
         """Run the offline solver on the sketch and return the chosen sets."""
         if self._solution is None:
             sketch = self.sketch()
-            self._solution = list(self._solver(sketch.graph, self.k))[: self.k]
+            if self._solver is None:
+                selected = self._greedy_on_sketch(sketch)
+            else:
+                selected = list(self._solver(sketch.graph, self.k))
+            self._solution = selected[: self.k]
         return self._solution
 
     # ------------------------------------------------------------------ #

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from repro.core.hashing import HashFamily, UniformHash
 from repro.core.params import SketchParams
 from repro.core.sketch import CoverageSketch
-from repro.core.streaming_sketch import StreamingSketchBuilder
+from repro.core.streaming_sketch import AdmissionGroup, StreamingSketchBuilder
 from repro.offline.greedy import greedy_k_cover
 from repro.streaming.events import EdgeArrival
 from repro.streaming.space import SpaceMeter
@@ -172,7 +172,7 @@ class GuessChecker:
             from repro.coverage.bitset import KernelCache
 
             self._final_sketch = self.builder.sketch()
-            self._kernels = KernelCache(self._final_sketch.graph)
+            self._kernels = KernelCache(self._final_sketch)
         return self._final_sketch
 
     def check(
@@ -198,9 +198,9 @@ class GuessChecker:
             kernel = self._kernels.get(backend)  # type: ignore[arg-type]
         else:
             sketch = self.builder.sketch()
-            kernel = kernel_for(sketch.graph, backend)  # type: ignore[arg-type]
+            kernel = kernel_for(sketch, backend)  # type: ignore[arg-type]
         result = greedy_k_cover(
-            sketch.graph,
+            sketch,
             self.budget_k,
             forbidden=forbidden,
             kernel=kernel,
@@ -296,6 +296,7 @@ class StreamingSetCoverOutliers:
             )
             for index, guess in enumerate(guesses)
         ]
+        self._group = AdmissionGroup([c.builder for c in self._checkers], self.space)
         self.coverage_backend = coverage_backend
         self.forbidden = frozenset(int(s) for s in forbidden)
         self._outcomes: list[GuessOutcome] | None = None
@@ -310,9 +311,8 @@ class StreamingSetCoverOutliers:
             raise RuntimeError("StreamingSetCoverOutliers is a single-pass algorithm")
 
     def process(self, event: EdgeArrival) -> None:
-        """Feed one edge into every guess's sketch."""
-        for checker in self._checkers:
-            checker.process(event)
+        """Feed one edge into every guess's sketch (buffered, one shared window)."""
+        self._group.process(event)
 
     def finish_pass(self, pass_index: int) -> None:
         """Nothing to do — checking happens lazily in :meth:`result`."""
@@ -336,6 +336,7 @@ class StreamingSetCoverOutliers:
     def outcomes(self) -> list[GuessOutcome]:
         """Per-guess Algorithm 4 outcomes (computed once, cached)."""
         if self._outcomes is None:
+            self._group.flush()
             self._outcomes = [
                 checker.check(forbidden=self.forbidden) for checker in self._checkers
             ]
@@ -358,6 +359,7 @@ class StreamingSetCoverOutliers:
         backend = (
             self.coverage_backend if coverage_backend is _UNSET else coverage_backend
         )
+        self._group.flush()
         outcomes: list[GuessOutcome] = []
         for checker in self._checkers:
             checker.finalize()
@@ -381,6 +383,7 @@ class StreamingSetCoverOutliers:
 
     def describe(self) -> dict[str, object]:
         """Diagnostics for reports."""
+        self._group.flush()
         return {
             "algorithm": self.name,
             "lambda": self.outlier_fraction,

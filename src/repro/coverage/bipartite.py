@@ -15,8 +15,11 @@ does not need to re-index them).  Label handling lives one level up in
 
 from __future__ import annotations
 
+import gc
 import operator
 from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 from repro.errors import InvalidInstanceError
 from repro.utils.validation import check_non_negative_int, check_positive_int
@@ -45,7 +48,7 @@ class BipartiteGraph:
       :math:`\\mathcal{E}`".
     """
 
-    __slots__ = ("_num_sets", "_set_adj", "_elem_adj", "_num_edges")
+    __slots__ = ("_num_sets", "_set_adj", "_elem_adj", "_num_edges", "_coverage_index")
 
     def __init__(self, num_sets: int) -> None:
         check_positive_int(num_sets, "num_sets")
@@ -53,6 +56,9 @@ class BipartiteGraph:
         self._set_adj: list[set[int]] = [set() for _ in range(num_sets)]
         self._elem_adj: dict[int, set[int]] = {}
         self._num_edges = 0
+        # None until coverage() is first called, then False until it is
+        # called again, then the member index; any mutation resets it.
+        self._coverage_index: list[np.ndarray] | bool | None = None
 
     # ------------------------------------------------------------------ #
     # construction
@@ -83,6 +89,43 @@ class BipartiteGraph:
                 graph.add_edge(set_id, element)
         return graph
 
+    @classmethod
+    def from_columns(
+        cls, num_sets: int, set_ids: np.ndarray, elements: np.ndarray
+    ) -> "BipartiteGraph":
+        """Build a graph from parallel edge columns of distinct, valid pairs.
+
+        The trusted bulk path for columns a sketch already validated and
+        de-duplicated: no per-edge checks.
+        """
+        graph = cls(num_sets)
+        set_ids, elements = np.asarray(set_ids), np.asarray(elements)
+        by_set = np.argsort(set_ids, kind="stable")
+        members = elements[by_set].tolist()
+        bounds = np.searchsorted(set_ids[by_set], np.arange(num_sets + 1)).tolist()
+        graph._set_adj = [set(members[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+        by_element = np.argsort(elements, kind="stable")
+        grouped = elements[by_element]
+        starts = np.flatnonzero(np.concatenate(([True], grouped[1:] != grouped[:-1])))
+        starts = starts[: len(grouped)]
+        owners = set_ids[by_element].tolist()
+        ends = np.append(starts[1:], len(grouped)).tolist()
+        # One small set per element: pause the cyclic collector, which would
+        # otherwise rescan the growing heap many times over (none of these
+        # objects can form a cycle).
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            graph._elem_adj = {
+                element: set(owners[a:b])
+                for element, a, b in zip(grouped[starts].tolist(), starts.tolist(), ends)
+            }
+        finally:
+            if collecting:
+                gc.enable()
+        graph._num_edges = len(members)
+        return graph
+
     def copy(self) -> "BipartiteGraph":
         """Return a deep copy (adjacency sets are copied)."""
         clone = BipartiteGraph(self._num_sets)
@@ -108,6 +151,7 @@ class BipartiteGraph:
         members.add(element)
         self._elem_adj.setdefault(element, set()).add(set_id)
         self._num_edges += 1
+        self._coverage_index = None
         return True
 
     def remove_element(self, element: int) -> int:
@@ -119,6 +163,7 @@ class BipartiteGraph:
             self._set_adj[set_id].discard(element)
         removed = len(owners)
         self._num_edges -= removed
+        self._coverage_index = None
         return removed
 
     def remove_edge(self, set_id: int, element: int) -> bool:
@@ -133,6 +178,7 @@ class BipartiteGraph:
         if not owners:
             del self._elem_adj[element]
         self._num_edges -= 1
+        self._coverage_index = None
         return True
 
     # ------------------------------------------------------------------ #
@@ -167,6 +213,21 @@ class BipartiteGraph:
             for element in members:
                 yield (set_id, element)
 
+    def member_sets(self) -> list[set[int]]:
+        """Every set's members, indexed by set id — a read-only view, not a copy."""
+        return self._set_adj
+
+    def edge_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """All edges as parallel ``(set id int64, element uint64)`` columns."""
+        sizes = [len(members) for members in self._set_adj]
+        sets = np.repeat(np.arange(self._num_sets, dtype=np.int64), sizes)
+        elements = np.fromiter(
+            (e for members in self._set_adj for e in members),
+            dtype=np.uint64,
+            count=self._num_edges,
+        )
+        return sets, elements
+
     def elements_of(self, set_id: int) -> frozenset[int]:
         """The elements contained in one set."""
         self._check_set_id(set_id)
@@ -198,8 +259,31 @@ class BipartiteGraph:
         return covered
 
     def coverage(self, set_ids: Iterable[int]) -> int:
-        """``|Γ(G, S)|``: the coverage value of a subfamily of sets."""
-        return len(self.neighbors(set_ids))
+        """``|Γ(G, S)|``: the coverage value of a subfamily of sets.
+
+        The first evaluation on a graph unions the chosen member sets.  From
+        the second evaluation of an unchanged graph on, a compact index of
+        every set's members (``O(edges)``, built once, dropped by any
+        mutation) turns each evaluation into one scatter into a mask.
+        """
+        index = self._coverage_index
+        if not isinstance(index, list):
+            if index is None:
+                self._coverage_index = False
+                return len(self.neighbors(set_ids))
+            index = self._coverage_index = self._member_index()
+        covered = np.zeros(len(self._elem_adj), dtype=bool)
+        for set_id in set_ids:
+            self._check_set_id(set_id)
+            covered[index[set_id]] = True
+        return int(np.count_nonzero(covered))
+
+    def _member_index(self) -> list[np.ndarray]:
+        """Each set's members as positions in one dense element numbering."""
+        _, elements = self.edge_columns()
+        positions = np.unique(elements, return_inverse=True)[1].reshape(-1)
+        bounds = np.cumsum([0] + [len(members) for members in self._set_adj]).tolist()
+        return [positions[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
     def coverage_fraction(self, set_ids: Iterable[int]) -> float:
         """Fraction of the current elements covered by ``set_ids``."""

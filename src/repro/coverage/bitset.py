@@ -31,7 +31,7 @@ difference).
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -42,21 +42,29 @@ from repro.coverage.kernels import (
     resolve_kernel_backend,
 )
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.sketch import CoverageSketch
+
 __all__ = ["BitsetCoverage", "KernelCache", "kernel_for"]
 
 
-def kernel_for(graph: BipartiteGraph, backend: str | KernelBackend | None) -> "BitsetCoverage | None":
+def kernel_for(
+    graph: "BipartiteGraph | CoverageSketch", backend: str | KernelBackend | None
+) -> "BitsetCoverage | None":
     """A packed kernel of ``graph``, or ``None`` when no backend is requested.
 
     The shared guard for solvers whose *offline phase* optionally runs on a
     kernel (the streaming family packs its sketch, the distributed
     coordinator its merged sketch): ``backend=None`` keeps the set-based
     path, and an empty graph skips packing — there is nothing to evaluate,
-    and callers' greedy handles the graph directly.
+    and callers' greedy handles the graph directly.  A
+    :class:`~repro.core.sketch.CoverageSketch` is packed from its columns,
+    without materialising its graph.
     """
     if backend is None or graph.num_edges == 0:
         return None
     return BitsetCoverage(graph, backend=backend)
+
 
 #: How many stale heap entries the lazy greedy re-evaluates per vectorised
 #: :meth:`BitsetCoverage.gains_for` call.  Small enough that little work is
@@ -73,30 +81,34 @@ class BitsetCoverage:
     ----------
     graph:
         The bipartite membership graph; it is snapshotted at construction
-        (later mutations of the graph are not reflected).
+        (later mutations of the graph are not reflected).  Either input is
+        packed from its ``edge_columns()``, so a
+        :class:`~repro.core.sketch.CoverageSketch` packs byte-identically to
+        its graph without materialising it.
     backend:
         A :class:`~repro.coverage.kernels.KernelBackend`, a registered
         backend name (``"bytes"``, ``"words"``), or ``"auto"`` (default) to
         pick the fastest available.
     """
 
-    def __init__(self, graph: BipartiteGraph, *, backend: str | KernelBackend = "auto") -> None:
+    def __init__(
+        self,
+        graph: "BipartiteGraph | CoverageSketch",
+        *,
+        backend: str | KernelBackend = "auto",
+    ) -> None:
         self._backend = resolve_kernel_backend(backend)
         self._num_sets = graph.num_sets
-        elements = np.fromiter(graph.elements(), dtype=np.int64, count=graph.num_elements)
-        elements.sort()
-        self._elements = elements
+        # Sorted unique elements plus one scatter of the (set, element)
+        # columns; a sketch supplies its columns without building a graph.
+        set_ids, members = graph.edge_columns()
+        elements, position = np.unique(members, return_inverse=True)
+        set_ids = set_ids.astype(np.intp, copy=False)
+        self._elements = elements.astype(np.int64)
         self._num_elements = len(elements)
-        width = max(1, self._num_elements)
-        dense = np.zeros((graph.num_sets, width), dtype=bool)
-        sizes = np.zeros(graph.num_sets, dtype=np.int64)
-        for set_id in graph.set_ids():
-            members = graph.elements_of(set_id)
-            if not members:
-                continue
-            ids = np.fromiter(members, dtype=np.int64, count=len(members))
-            dense[set_id, np.searchsorted(elements, ids)] = True
-            sizes[set_id] = len(members)
+        dense = np.zeros((graph.num_sets, max(1, self._num_elements)), dtype=bool)
+        dense[set_ids, position] = True
+        sizes = np.bincount(set_ids, minlength=graph.num_sets).astype(np.int64)
         # Rows are packed along the element axis: shape (n, lanes) in the
         # backend's lane dtype.
         self._packed = self._backend.pack(dense)
@@ -361,6 +373,8 @@ class KernelCache:
     client asking for ``"auto"`` and one asking for ``"words"`` never pack
     the same graph twice.
 
+    A :class:`~repro.core.sketch.CoverageSketch` source is packed from its
+    edge columns, so serving a cached sketch never materialises its graph.
     Mirrors :func:`kernel_for`: ``backend=None`` and empty graphs yield
     ``None`` (the set-based path / nothing to evaluate).  Concurrent lookups
     from the thread backend are safe — at worst two threads both pack the
@@ -368,13 +382,13 @@ class KernelCache:
     read-only and bit-identical.
     """
 
-    def __init__(self, graph: BipartiteGraph) -> None:
+    def __init__(self, graph: "BipartiteGraph | CoverageSketch") -> None:
         self._graph = graph
         self._kernels: dict[str, BitsetCoverage] = {}
 
     @property
-    def graph(self) -> BipartiteGraph:
-        """The graph whose kernels are cached."""
+    def graph(self) -> "BipartiteGraph | CoverageSketch":
+        """The graph (or sketch) whose kernels are cached."""
         return self._graph
 
     def get(self, backend: str | KernelBackend | None) -> "BitsetCoverage | None":

@@ -50,16 +50,15 @@ process boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.coverage.bipartite import BipartiteGraph
 from repro.core.hashing import UniformHash
 from repro.core.params import SketchParams
-from repro.core.sketch import CoverageSketch
+from repro.core.sketch import CoverageSketch, admit_columns
 from repro.core.streaming_sketch import StreamingSketchBuilder
 from repro.distributed.partition import EdgePartitioner, row_range_bounds
 from repro.distributed.worker import (
@@ -107,17 +106,6 @@ _RESIDENT = obs.global_metrics().gauge(
 )
 
 
-def _sketch_columns(sketch: CoverageSketch) -> tuple[np.ndarray, np.ndarray]:
-    """One shard sketch's edges as parallel uint64 (set, element) columns."""
-    count = sketch.num_edges
-    sets = np.empty(count, dtype=np.uint64)
-    elements = np.empty(count, dtype=np.uint64)
-    for row, (set_id, element) in enumerate(sketch.graph.edges()):
-        sets[row] = set_id
-        elements[row] = element
-    return sets, elements
-
-
 def merge_machine_sketches(
     machine_sketches: Sequence[MachineSketch],
     params: SketchParams,
@@ -126,9 +114,11 @@ def merge_machine_sketches(
 ) -> CoverageSketch:
     """Merge per-shard sketches into a sketch of the union of the shards.
 
-    The shard columns are stacked and the offline admission (rank order,
-    degree cap, edge budget) runs as one vectorised lexsort pass — the array
-    restatement of Algorithm 1, byte-identical to the per-element loop.  When
+    The shard sketches' ``(set, element, rank)`` columns are stacked and
+    :func:`repro.core.sketch.admit_columns` — Algorithm 1's admission, the
+    same function :func:`~repro.core.sketch.build_h_leq_n` runs — admits
+    them in one lexsort pass.  ``hash_seed`` names the hash every machine
+    shared; the ranks themselves travel with the columns.  When
     the union overflows the edge budget the merged threshold is the hash of
     the last *admitted* element, matching
     :func:`repro.core.sketch.build_h_leq_n` (the data-dependent ``p*``); a
@@ -136,16 +126,11 @@ def merge_machine_sketches(
     """
     if not machine_sketches:
         raise ValueError("need at least one machine sketch to merge")
-    return _merge_sketches(
-        [ms.sketch for ms in machine_sketches], params, hash_seed=hash_seed
-    )
+    return _merge_sketches([ms.sketch for ms in machine_sketches], params)
 
 
 def _merge_sketches(
-    sketches: Sequence[CoverageSketch],
-    params: SketchParams,
-    *,
-    hash_seed: int = 0,
+    sketches: Sequence[CoverageSketch], params: SketchParams
 ) -> CoverageSketch:
     """The admission pass over raw sketches (the associative merge operator).
 
@@ -160,72 +145,14 @@ def _merge_sketches(
     distinct elements (probability ~2^-64) are the only caveat, the same
     caveat the barrier merge already carries.
     """
-    hash_fn = UniformHash(hash_seed)
     global_threshold = min(sketch.threshold for sketch in sketches)
-
-    # Stack the shard columns, restricted to globally-admitted elements.
-    columns = [_sketch_columns(sketch) for sketch in sketches]
-    sets = np.concatenate([c[0] for c in columns])
-    elements = np.concatenate([c[1] for c in columns])
-    merged = BipartiteGraph(params.num_sets)
-    if len(sets) == 0:
-        return CoverageSketch(
-            graph=merged, params=params, threshold=global_threshold
-        )
-    ranks = hash_fn.value_many(elements)
-    keep = ranks <= global_threshold
-    sets, elements, ranks = sets[keep], elements[keep], ranks[keep]
-
-    # One stable lexsort realises Algorithm 1's admission order: elements by
-    # (rank, id), each element's owners by ascending set id — so the degree
-    # cap keeps the same smallest-id owners the offline builder keeps.
-    order = np.lexsort((sets, elements, ranks))
-    sets, elements, ranks = sets[order], elements[order], ranks[order]
-    # Drop duplicate edges (the same input edge can only live in one shard,
-    # but duplicate input edges may land in different shards).
-    fresh = np.ones(len(sets), dtype=bool)
-    fresh[1:] = (elements[1:] != elements[:-1]) | (sets[1:] != sets[:-1])
-    sets, elements, ranks = sets[fresh], elements[fresh], ranks[fresh]
-
-    if len(elements) == 0:
-        return CoverageSketch(
-            graph=merged, params=params, threshold=global_threshold
-        )
-    # Element runs are contiguous after the sort; cap each run's degree and
-    # admit runs while the stored-edge prefix is below the budget.
-    starts_mask = np.ones(len(elements), dtype=bool)
-    starts_mask[1:] = elements[1:] != elements[:-1]
-    run_starts = np.flatnonzero(starts_mask)
-    run_id = np.cumsum(starts_mask) - 1
-    degrees = np.diff(np.append(run_starts, len(elements)))
-    within_run = np.arange(len(elements)) - run_starts[run_id]
-    capped = within_run < params.degree_cap
-    capped_degrees = np.minimum(degrees, params.degree_cap)
-    edges_before = np.concatenate(([0], np.cumsum(capped_degrees)[:-1]))
-    admitted_runs = edges_before < params.edge_budget
-
-    stored = capped & admitted_runs[run_id]
-    for set_id, element in zip(sets[stored].tolist(), elements[stored].tolist()):
-        merged.add_edge(set_id, element)
-    admitted_rows = run_starts[admitted_runs]
-    hashes = dict(
-        zip(elements[admitted_rows].tolist(), ranks[admitted_rows].tolist())
-    )
-    truncated = frozenset(
-        elements[run_starts[admitted_runs & (degrees > params.degree_cap)]].tolist()
-    )
-    if bool(admitted_runs.all()) or len(admitted_rows) == 0:
-        threshold = global_threshold
-    else:
-        # Algorithm 1's convention: p* is the hash of the last admitted
-        # element (ranks are sorted, so that is the final admitted row).
-        threshold = float(ranks[admitted_rows[-1]])
-    return CoverageSketch(
-        graph=merged,
-        params=params,
-        threshold=threshold,
-        element_hashes=hashes,
-        truncated_elements=truncated,
+    columns = [sketch.edge_columns() for sketch in sketches]
+    return admit_columns(
+        np.concatenate([c[0] for c in columns]),
+        np.concatenate([c[1] for c in columns]),
+        np.concatenate([sketch.edge_ranks() for sketch in sketches]),
+        params,
+        ceiling=global_threshold,
     )
 
 
@@ -300,7 +227,7 @@ class StreamingMergeTree:
         height = max(left.height, right.height) + 1
         with obs.span("reduce.fold", height=height):
             merged = _merge_sketches(
-                [left.sketch, right.sketch], self.params, hash_seed=self.hash_seed
+                [left.sketch, right.sketch], self.params
             )
         carried = frozenset(merged.truncated_elements) | frozenset(
             element
@@ -327,13 +254,11 @@ class StreamingMergeTree:
             # A single machine never pairs up, but the barrier merge still
             # runs one admission pass over that lone sketch — match it.
             with obs.span("reduce.merge", machines=1):
-                merged = _merge_sketches(
-                    [node.sketch], self.params, hash_seed=self.hash_seed
-                )
+                merged = _merge_sketches([node.sketch], self.params)
             self.merge_count += 1
             _MERGES.inc()
             return merged
-        return replace(node.sketch, truncated_elements=node.carried)
+        return node.sketch.with_truncated(node.carried)
 
 
 @dataclass
@@ -773,8 +698,8 @@ class DistributedKCover:
         from repro.coverage.bitset import kernel_for
 
         with obs.span("distributed.greedy", k=self.k):
-            kernel = kernel_for(merged.graph, self.coverage_backend)
-            solution = greedy_k_cover(merged.graph, self.k, kernel=kernel).selected
+            kernel = kernel_for(merged, self.coverage_backend)
+            solution = greedy_k_cover(merged, self.k, kernel=kernel).selected
         return DistributedRunReport(
             solution=solution,
             coverage_estimate=merged.estimate_coverage(solution),

@@ -40,6 +40,7 @@ them, which is correct but pays the transfer).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -107,14 +108,14 @@ def _feed(builder: StreamingSketchBuilder, shard: Shard, batch_size: int) -> Non
     if isinstance(shard, EventBatch):
         builder.process_batch(shard)
         return
-    for item in shard:
-        if isinstance(item, EventBatch):
-            builder.process_batch(item)
-        elif isinstance(item, EdgeArrival):
-            builder.add_edge(item.set_id, item.element)
+    # Runs of batches go through process_batch, runs of edges / arrivals
+    # through consume(), which chunks them lazily.
+    for is_batch, run in itertools.groupby(shard, key=lambda i: isinstance(i, EventBatch)):
+        if is_batch:
+            for batch in run:
+                builder.process_batch(batch)
         else:
-            set_id, element = item
-            builder.add_edge(set_id, element)
+            builder.consume(run)
 
 
 def build_machine_sketch(

@@ -10,9 +10,11 @@ These are the classical algorithms the paper composes with its sketch:
   elements is covered (the paper's ``Greedy(k log(1/λ), G)`` covering at
   least ``(1 − λ) Opt_k``).
 
-All functions operate directly on a :class:`BipartiteGraph` — the same code
-path is used whether the graph is a full instance or one of the paper's
-sketches (that composability is precisely Theorem 2.7's point).  Every entry
+All functions operate directly on a :class:`BipartiteGraph` or a
+:class:`~repro.core.sketch.CoverageSketch` (whose per-set member sets come
+straight from its columns) — the same code path is used whether the input
+is a full instance or one of the paper's sketches (that composability is
+precisely Theorem 2.7's point).  Every entry
 point also accepts ``kernel=``, a :class:`repro.coverage.bitset.BitsetCoverage`
 snapshot of the same graph: the selection loop then runs on the kernel's
 packed bit rows (vectorised subset-gain re-evaluation under the same lazy
@@ -32,6 +34,7 @@ from repro.errors import InfeasibleError
 from repro.utils.validation import check_fraction, check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a hard import
+    from repro.core.sketch import CoverageSketch
     from repro.coverage.bitset import BitsetCoverage
 
 __all__ = [
@@ -87,7 +90,7 @@ def _kernel_greedy(
 
 
 def _lazy_greedy(
-    graph: BipartiteGraph,
+    graph: "BipartiteGraph | CoverageSketch",
     *,
     max_sets: int | None,
     target_coverage: int | None,
@@ -111,13 +114,13 @@ def _lazy_greedy(
     # maximal-gain candidates — exactly the argmax tie-break of the eager
     # and kernel (BitsetCoverage) greedy paths, keeping the achieved
     # selection independent of which implementation evaluates it.
+    members = graph.member_sets()
     heap: list[tuple[int, int, int]] = []
-    for set_id in graph.set_ids():
+    for set_id, elements in enumerate(members):
         if set_id in forbidden:
             continue
-        gain = graph.set_degree(set_id)
         evaluations += 1
-        heap.append((-gain, set_id, 0))
+        heap.append((-len(elements), set_id, 0))
     heapq.heapify(heap)
 
     def done() -> bool:
@@ -130,7 +133,7 @@ def _lazy_greedy(
     while heap and not done():
         neg_gain, set_id, version = heapq.heappop(heap)
         if version != len(selected):
-            gain = len(graph.elements_of(set_id) - covered)
+            gain = len(members[set_id] - covered)
             evaluations += 1
             heapq.heappush(heap, (-gain, set_id, len(selected)))
             continue
@@ -139,7 +142,7 @@ def _lazy_greedy(
             break
         selected.append(set_id)
         gains.append(gain)
-        covered |= graph.elements_of(set_id)
+        covered |= members[set_id]
 
     return GreedyResult(
         selected=selected, coverage=len(covered), gains=gains, evaluations=evaluations
@@ -147,7 +150,7 @@ def _lazy_greedy(
 
 
 def greedy_k_cover(
-    graph: BipartiteGraph,
+    graph: "BipartiteGraph | CoverageSketch",
     k: int,
     *,
     forbidden: Iterable[int] = (),
@@ -180,7 +183,7 @@ def greedy_k_cover(
 
 
 def greedy_set_cover(
-    graph: BipartiteGraph,
+    graph: "BipartiteGraph | CoverageSketch",
     *,
     allow_partial: bool = False,
     forbidden: Iterable[int] = (),
@@ -211,7 +214,7 @@ def greedy_set_cover(
 
 
 def greedy_partial_cover(
-    graph: BipartiteGraph,
+    graph: "BipartiteGraph | CoverageSketch",
     target_fraction: float,
     *,
     forbidden: Iterable[int] = (),

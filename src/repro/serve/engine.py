@@ -285,13 +285,11 @@ class QueryEngine:
             )
             base = self._drive(algorithm)
             sketch = algorithm.sketch()
-            return _CachedSketch(
-                sketch=sketch, kernels=KernelCache(sketch.graph), base=base
-            )
+            return _CachedSketch(sketch=sketch, kernels=KernelCache(sketch), base=base)
 
         entry, hit = self.store.get_or_build(key, build)
         result = greedy_k_cover(
-            entry.sketch.graph,
+            entry.sketch,
             spec.k,
             forbidden=spec.forbidden,
             kernel=entry.kernels.get(backend),

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.errors import SpaceBudgetExceeded
 
 __all__ = ["SpaceMeter"]
@@ -60,6 +62,32 @@ class SpaceMeter:
         if amount < 0:
             raise ValueError("amount must be non-negative")
         self.current = max(0, self.current - amount)
+
+    def apply(self, usage: np.ndarray, *, current: int) -> None:
+        """Apply a run of unit charges and releases, given the usage after each charge.
+
+        Equivalent to the ``charge(1)`` / ``release`` calls it summarises:
+        ``usage[i]`` is the usage right after the ``i``-th charge, in order,
+        and ``current`` the usage once the run ends.  An enforcing meter
+        stops at the first charge over the budget and raises, counting the
+        charges up to it, exactly as ``charge(1)`` would.
+        """
+        usage = np.asarray(usage)
+        if len(usage) and self.budget is not None:
+            over = usage > self.budget
+            if over.any():
+                if self.enforce:
+                    first = int(np.argmax(over))
+                    self.total_charged += first + 1
+                    self.violations += 1
+                    self.current = int(usage[first])
+                    self.peak = max(self.peak, self.current)
+                    raise SpaceBudgetExceeded(self.current, self.budget, self.unit)
+                self.violations += int(np.count_nonzero(over))
+        if len(usage):
+            self.total_charged += len(usage)
+            self.peak = max(self.peak, int(usage.max()))
+        self.current = current
 
     def set_current(self, value: int) -> None:
         """Set the current usage directly (peak is updated accordingly)."""
