@@ -32,11 +32,9 @@ exception inline::
 
     # repro-lint: disable=<rule>[,<rule>] -- justification
 
-The engine scales like the rest of the repo: ``--jobs N`` fans the
-per-file phase over :class:`repro.parallel.ParallelMapper` (byte-identical
-to serial), ``--cache`` re-analyzes only changed files plus their
-import-graph dependents, and ``--changed BASE`` lints just the files git
-reports dirty (plus dependents) for a fast pre-gate.
+The engine makes one serial pass: each file is read and parsed once, that
+parse feeds both the file rules and the module's facts, and the project
+rules then run once over the index built from every file's facts.
 
 New rules plug in exactly like solvers and kernels: subclass
 :class:`~repro.lint.rules.Rule` (or
@@ -46,16 +44,11 @@ it a :class:`~repro.lint.rules.RuleMeta`, decorate with
 """
 
 from repro.lint import checks  # noqa: F401  (registers the built-in rules)
-from repro.lint.cache import LintCache, load_cache
 from repro.lint.engine import (
     FileAnalysis,
-    FileLintJob,
     LintContext,
-    LintStats,
     collect_files,
-    execute_lint_job,
     lint_paths,
-    lint_paths_with_stats,
     lint_source,
 )
 from repro.lint.findings import Finding, LintReport
@@ -75,12 +68,9 @@ from repro.lint.rules import (
 
 __all__ = [
     "FileAnalysis",
-    "FileLintJob",
     "Finding",
-    "LintCache",
     "LintReport",
     "LintContext",
-    "LintStats",
     "ModuleFacts",
     "ProjectIndex",
     "ProjectRule",
@@ -88,14 +78,11 @@ __all__ = [
     "RuleMeta",
     "collect_facts",
     "collect_files",
-    "execute_lint_job",
     "get_rule",
     "iter_rule_metas",
     "lint_paths",
-    "lint_paths_with_stats",
     "lint_source",
     "list_rules",
-    "load_cache",
     "register_rule",
     "rule_choices",
     "render_json",

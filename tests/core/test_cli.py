@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import io
+import json
 
 import pytest
 
 from repro.cli import build_parser, main
-from repro.coverage.io import write_edge_list
+from repro.coverage.io import write_columnar, write_edge_list
 from repro.datasets import planted_kcover_instance
 
 
@@ -283,3 +284,45 @@ class TestCoverageBackendAndColumnar:
         )
         assert code_text == code_cols == 0
         assert from_cols == from_text
+
+
+MALFORMED_INPUT_COMMANDS = ("run", "kcover", "setcover", "outliers", "sketch", "query")
+
+
+def _columnar_with_out_of_range_set(path):
+    """A columnar dir whose meta.json claims 2 sets while set id 3 is stored."""
+    write_columnar([(0, 0), (1, 1), (3, 2), (2, 0)], path)
+    meta_path = path / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["num_sets"] = 2
+    meta_path.write_text(json.dumps(meta))
+    return path
+
+
+def _columnar_with_truncated_elements(path):
+    """A columnar dir whose elements.npy lost its tail."""
+    write_columnar([(i % 5, i) for i in range(50)], path)
+    column = path / "elements.npy"
+    column.write_bytes(column.read_bytes()[:-40])
+    return path
+
+
+class TestMalformedColumnarInput:
+    """Corrupt --edges directories fail with one error line and exit 2."""
+
+    @pytest.mark.parametrize("command", MALFORMED_INPUT_COMMANDS)
+    def test_out_of_range_set_id_names_the_id(self, command, tmp_path, capsys):
+        bad = _columnar_with_out_of_range_set(tmp_path / "bad.cols")
+        code, _ = _run([command, "--edges", str(bad)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: set id 3 out of range [0, 2)"
+        ]
+
+    @pytest.mark.parametrize("command", MALFORMED_INPUT_COMMANDS)
+    def test_truncated_column_is_one_line(self, command, tmp_path, capsys):
+        bad = _columnar_with_truncated_elements(tmp_path / "short.cols")
+        code, _ = _run([command, "--edges", str(bad)])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -1,4 +1,4 @@
-"""``collect_results.py`` folds lint/obs artifacts into the trajectory."""
+"""``collect_results.py`` folds benchmark and obs artifacts into the trajectory."""
 
 from __future__ import annotations
 
@@ -7,48 +7,19 @@ import json
 from benchmarks.collect_results import (
     collect_results,
     summarize_chrome_trace,
-    summarize_lint_report,
     summarize_metrics_snapshot,
 )
 
 from repro import obs
-from repro.lint import lint_paths_with_stats, render_json
 
 
-def make_report_json(tmp_path):
-    target = tmp_path / "mod.py"
-    target.write_text("import random\nx = random.random()\n", encoding="utf-8")
-    report, stats = lint_paths_with_stats([target])
-    return render_json(report, stats=stats)
-
-
-def test_lint_report_is_flattened_to_scalars(tmp_path):
-    payload = json.loads(make_report_json(tmp_path))
-    summary = summarize_lint_report(payload)
-    assert summary["findings"] == 1
-    assert summary["files_scanned"] == 1
-    assert summary["files_analyzed"] == 1
-    assert summary["cache_hit_rate"] == 0.0
-    assert summary["wall_seconds"] > 0
-    assert summary["version"] == 1
-
-
-def test_non_lint_payloads_pass_through_unchanged():
-    for payload in ({"speedup": 2.0}, [1, 2], "text", {"report": 3}):
-        assert summarize_lint_report(payload) == payload
-
-
-def test_merge_picks_up_the_lint_report_by_stem(tmp_path):
+def test_merge_keys_artifacts_by_stem_and_skips_broken_json(tmp_path):
     results = tmp_path / "results"
     results.mkdir()
-    (results / "lint-report.json").write_text(
-        make_report_json(tmp_path), encoding="utf-8"
-    )
     (results / "other_bench.json").write_text('{"speedup": 3.5}', encoding="utf-8")
     (results / "broken.json").write_text("{ nope", encoding="utf-8")
     merged = collect_results(results)
-    assert merged["artifact_names"] == ["lint-report", "other_bench"]
-    assert merged["artifacts"]["lint-report"]["findings"] == 1
+    assert merged["artifact_names"] == ["other_bench"]
     assert merged["artifacts"]["other_bench"] == {"speedup": 3.5}
     assert len(merged["skipped"]) == 1 and "broken.json" in merged["skipped"][0]
 

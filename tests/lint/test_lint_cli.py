@@ -93,36 +93,6 @@ class TestEngineFlags:
         report = report_from_json(output)
         assert list(report.rules) == list_rules()
 
-    def test_jobs_zero_is_a_usage_error(self, clean_file):
-        code, _ = run_cli("lint", clean_file, "--jobs", "0")
-        assert code == 2
-
-    def test_jobs_fans_out_without_changing_the_report(self, tmp_path):
-        for index in range(4):
-            (tmp_path / f"mod_{index}.py").write_text(DIRTY_SOURCE)
-        serial_code, serial_output = run_cli("lint", tmp_path, "--format", "json")
-        parallel_code, parallel_output = run_cli(
-            "lint", tmp_path, "--format", "json", "--jobs", "3"
-        )
-        assert (serial_code, serial_output) == (parallel_code, parallel_output)
-
-    def test_cache_warms_across_invocations(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "mod.py").write_text(CLEAN_SOURCE)
-        first_code, _ = run_cli("lint", "mod.py", "--cache")
-        assert first_code == 0
-        assert (tmp_path / ".repro-lint-cache" / "cache.json").exists()
-        artifact = tmp_path / "out.json"
-        second_code, _ = run_cli("lint", "mod.py", "--cache", "--output", artifact)
-        assert second_code == 0
-        stats = json.loads(artifact.read_text())["stats"]
-        assert stats["files_from_cache"] == 1
-        assert stats["cache_hit_rate"] == 1.0
-
-    def test_changed_against_bad_base_is_a_usage_error(self, clean_file):
-        code, _ = run_cli("lint", clean_file, "--changed", "no-such-ref^^")
-        assert code == 2
-
 
 class TestJsonOutput:
     def test_format_json_round_trips(self, dirty_file):
