@@ -16,6 +16,7 @@ is what the CLI, the benchmarks and the examples print.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -28,10 +29,10 @@ from repro.coverage.bipartite import BipartiteGraph
 from repro.coverage.instance import CoverageInstance, ProblemKind
 from repro.coverage.io import ColumnarEdges, open_columnar
 from repro.errors import SpecError
+from repro.obs import clock
 from repro.streaming.runner import StreamingReport, StreamingRunner
 from repro.streaming.stream import EdgeStream, SetStream
 from repro.utils.tables import Table
-from repro.utils.timer import Stopwatch
 
 __all__ = ["solve", "run", "Session"]
 
@@ -259,12 +260,10 @@ def solve(
     batch_size: int | None = None,
     seed: int = 0,
     coverage_backend: str | None = None,
-    # repro-lint: disable=knob-drift -- imperative-only: injects a live kernel object (tests/benchmarks); specs name backends by string instead
     coverage_kernel: Any | None = None,
     executor: str | None = None,
     max_workers: int | None = None,
     reduce: str | None = None,
-    # repro-lint: disable=knob-drift -- imperative-only escape hatch for solver-specific kwargs; RunSpecs express these via SolverSpec.options
     extra: Mapping[str, Any] | None = None,
 ) -> StreamingReport:
     """Run any registered solver on a coverage problem and report the outcome.
@@ -412,10 +411,9 @@ def _run_solver(
             f"{info.kind} solver {info.name!r} does not consume a stream object; "
             "pass a StreamSpec (ignored) or omit stream"
         )
-    stopwatch = Stopwatch()
-    with stopwatch.section("solve"):
-        outcome = info.builder(ctx, **spec.options)
-    seconds = stopwatch.as_dict().get("solve", 0.0)
+    started = clock.perf_counter()
+    outcome = info.builder(ctx, **spec.options)
+    seconds = clock.perf_counter() - started
     if info.kind == "offline":
         return _offline_report(ctx, outcome, seconds, extra_dict)
     algorithm_name, dist_report = outcome
@@ -448,12 +446,7 @@ def run(spec: RunSpec, problem: Problem | None = None) -> list[StreamingReport]:
         kernel = BitsetCoverage(graph, backend=spec.problem.coverage_backend)
     reports = []
     for repetition in range(spec.repetitions):
-        stream = StreamSpec(
-            order=spec.stream.order,
-            seed=spec.stream.seed + repetition,
-            arrival=spec.stream.arrival,
-            batch_size=spec.stream.batch_size,
-        )
+        stream = replace(spec.stream, seed=spec.stream.seed + repetition)
         reports.append(
             solve(
                 target,
@@ -501,6 +494,13 @@ class Session:
         reduce: str | None = None,
     ) -> None:
         if isinstance(problem, ProblemSpec):
+            # Explicit keywords override the spec, exactly as in solve().
+            if k is None:
+                k = problem.k
+            if outlier_fraction is None:
+                outlier_fraction = problem.outlier_fraction
+            if problem_kind is None:
+                problem_kind = problem.problem
             if coverage_backend is None:
                 coverage_backend = problem.coverage_backend
             if executor is None:

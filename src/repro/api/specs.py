@@ -127,9 +127,7 @@ class ProblemSpec:
     problem: str = "k_cover"
     k: int | None = None
     outlier_fraction: float | None = None
-    # repro-lint: disable=knob-drift -- spec-only: solve()/Session take a materialized problem; the CLI binds datasets via --generator and per-generator flags
     dataset: str | None = None
-    # repro-lint: disable=knob-drift -- spec-only: generator kwargs have no flat CLI/kwarg syntax; RunSpecs carry them as a dict
     dataset_args: dict[str, Any] = field(default_factory=dict)
     coverage_backend: str | None = None
     executor: str | None = None
@@ -267,10 +265,8 @@ class StreamSpec:
     modes produce identical reports; batches are faster).
     """
 
-    # repro-lint: disable=knob-drift -- the bench harness sweeps stream orders programmatically; no CLI flag by design
     order: str = "random"
     seed: int = 0
-    # repro-lint: disable=knob-drift -- arrival forcing is a test/bench knob for the runner's model check, not a CLI surface
     arrival: str | None = None
     batch_size: int | None = None
 
@@ -338,7 +334,6 @@ class QuerySpec:
     k: int | None = None
     outlier_fraction: float | None = None
     forbidden: tuple[int, ...] = ()
-    # repro-lint: disable=knob-drift -- per-query solver options are a dict with no flat CLI syntax; the query subcommand exposes the common ones (--epsilon, --scale) directly
     options: dict[str, Any] = field(default_factory=dict)
     coverage_backend: str | None = None
 

@@ -2,11 +2,13 @@
 
 The test suite defends the paper's guarantees *dynamically* (byte-identity
 across batch sizes, executors and shard merges); this package defends the
-same contracts *statically*, at AST level, before a single test runs.
+contracts that only the source text shows, at AST level, before a single
+test runs.
 
 Per-file rules (one module at a time):
 
 * ``no-raw-rng`` — randomness flows through :mod:`repro.utils.rng`;
+* ``raw-timing`` — library timing reads go through :mod:`repro.obs.clock`;
 * ``picklable-jobs`` — executor callables are module-level, job dataclasses
   carry plain data;
 * ``spec-roundtrip`` — frozen spec dataclasses serialize every field;
@@ -18,13 +20,15 @@ Per-file rules (one module at a time):
 Project rules (whole-program, over the :class:`~repro.lint.project.ProjectIndex`
 the engine assembles from every file):
 
-* ``knob-drift`` — spec fields, ``solve()``/``Session`` kwargs and CLI
-  flags stay in sync, both directions;
 * ``transitive-picklability`` — callables reaching executors resolve to
   module-level defs through any chain of aliases/imports/factories;
-* ``registry-docs-sync`` — registered names and README tables agree;
 * ``export-hygiene`` — ``__all__`` entries exist, re-exports resolve,
   exports are used somewhere in the linted tree.
+
+Contracts the running library reports about itself are tier-1 tests, not
+rules: ``tests/api/test_public_surface.py`` checks that every spec field
+reaches ``solve()``, ``Session`` and the CLI, and that the README tables
+match the solver, dataset, executor, kernel-backend and rule registries.
 
 Run it as ``repro lint src benchmarks tests`` (text or ``--format json``),
 list the rules with ``repro lint --list-rules``, and silence a deliberate

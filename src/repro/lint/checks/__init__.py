@@ -3,20 +3,20 @@
 Importing this package registers every built-in rule in the rule registry
 (the same import-for-side-effect convention the solver and dataset
 registries use).  Each rule lives in its own module, named after the
-contract it defends.  Per-file rules see one AST at a time; the project
-rules (knob drift, transitive picklability, registry/docs sync, export
-hygiene) run after every file over the assembled
-:class:`~repro.lint.project.ProjectIndex`.
+contract it defends.  Per-file rules see one AST at a time; the two project
+rules (transitive picklability, export hygiene) run after every file over
+the assembled :class:`~repro.lint.project.ProjectIndex`.  Contracts that the
+running library can report about itself — knobs reaching every layer,
+registries matching the README tables — are tier-1 tests instead
+(``tests/api/test_public_surface.py``).
 """
 
 from repro.lint.checks import (  # noqa: F401  (imported for registration)
     export_hygiene,
     hot_path,
-    knob_drift,
     picklable_jobs,
     raw_rng,
     raw_timing,
-    registry_docs,
     registry_names,
     silent_except,
     spec_roundtrip,
@@ -27,11 +27,9 @@ from repro.lint.checks import (  # noqa: F401  (imported for registration)
 __all__ = [
     "export_hygiene",
     "hot_path",
-    "knob_drift",
     "picklable_jobs",
     "raw_rng",
     "raw_timing",
-    "registry_docs",
     "registry_names",
     "silent_except",
     "spec_roundtrip",

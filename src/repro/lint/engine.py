@@ -13,8 +13,8 @@ One :func:`lint_paths` call turns a set of files/directories into a
 * after the last file, the facts of *every* file are assembled into one
   :class:`~repro.lint.project.ProjectIndex` and the *project-scope* rules
   (:class:`~repro.lint.rules.ProjectRule`) run over it — that is where the
-  cross-module contracts (knob drift, transitive picklability, registry/docs
-  sync, export hygiene) are checked;
+  cross-module contracts (transitive picklability, export hygiene) are
+  checked;
 * inline suppression comments silence findings line by line::
 
       rng = np.random.default_rng(7)  # repro-lint: disable=no-raw-rng -- literal seed, test fixture
@@ -35,7 +35,6 @@ byte-identical reports.
 from __future__ import annotations
 
 import ast
-import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -351,28 +350,6 @@ def _display_path(path: Path) -> str:
         return path.as_posix()
 
 
-def _locate_readme(files: Sequence[Path]) -> tuple[str | None, str | None]:
-    """Find the README.md governing the linted tree (for registry-docs-sync).
-
-    Walks up from the deepest common ancestor of the linted files, a bounded
-    number of levels, and returns ``(display_path, text)`` — or ``(None,
-    None)`` when no README exists (synthetic trees without docs).
-    """
-    if not files:
-        return None, None
-    common = Path(os.path.commonpath([file.resolve() for file in files]))
-    if common.is_file():
-        common = common.parent
-    for _ in range(6):
-        candidate = common / "README.md"
-        if candidate.is_file():
-            return _display_path(candidate), candidate.read_text(encoding="utf-8")
-        if common.parent == common:
-            break
-        common = common.parent
-    return None, None
-
-
 # --------------------------------------------------------------------------- #
 # the tree-wide run
 # --------------------------------------------------------------------------- #
@@ -396,12 +373,7 @@ def lint_paths(
     findings = [finding for analysis in analyses for finding in analysis.findings]
     suppressed = sum(analysis.suppressed for analysis in analyses)
     if project_rules:
-        readme_path, readme_text = _locate_readme(files)
-        index = ProjectIndex(
-            [analysis.facts for analysis in analyses],
-            readme_path=readme_path,
-            readme_text=readme_text,
-        )
+        index = ProjectIndex([analysis.facts for analysis in analyses])
         suppressions = {
             analysis.facts.display_path: analysis.suppressions for analysis in analyses
         }

@@ -1,11 +1,10 @@
 """The whole-program side of :mod:`repro.lint`: module facts and the index.
 
-Per-file rules see one AST at a time; the contracts that cost the most
-review time span *files* — a knob present in ``ProblemSpec`` but missing
-from the CLI, a callable that reaches a process pool through two aliases, a
-registered solver absent from the README table.  To check those, the engine
-extracts a :class:`ModuleFacts` summary from every file it parses (imports,
-module-level symbol table, function signatures, registration and executor
+Per-file rules see one AST at a time; some contracts span *files* — a
+callable that reaches a process pool through two aliases, an ``__all__``
+entry no other module imports.  To check those, the engine extracts a
+:class:`ModuleFacts` summary from every file it parses (imports,
+module-level symbol table, what each function returns, executor and job
 call sites, ``__all__``) and assembles the summaries into a
 :class:`ProjectIndex`: import graph, dotted-module lookup and a
 cross-module callable resolver.
@@ -28,10 +27,8 @@ from repro.lint.rules import attribute_chain
 __all__ = [
     "ImportRecord",
     "FunctionFacts",
-    "DataclassFacts",
     "CallArgRef",
     "JobCallableRef",
-    "RegistrationRecord",
     "ModuleFacts",
     "CallableResolution",
     "ProjectIndex",
@@ -74,31 +71,12 @@ class ImportRecord:
 
 @dataclass(frozen=True)
 class FunctionFacts:
-    """Signature and body summary of one module-level function or method."""
+    """What one module-level function or method returns."""
 
     qualname: str
     line: int
-    params: tuple[str, ...]
-    kwonly: tuple[str, ...]
-    param_lines: dict[str, int]
-    has_kwargs: bool
     returns_nested: bool
     returned_names: tuple[str, ...]
-    calls: tuple[str, ...]
-
-    def all_params(self) -> tuple[str, ...]:
-        """Positional and keyword-only parameter names together."""
-        return self.params + self.kwonly
-
-
-@dataclass(frozen=True)
-class DataclassFacts:
-    """Field inventory of one ``@dataclass``-decorated class."""
-
-    name: str
-    line: int
-    fields: tuple[str, ...]
-    field_lines: dict[str, int]
 
 
 @dataclass(frozen=True)
@@ -124,16 +102,6 @@ class JobCallableRef:
 
 
 @dataclass(frozen=True)
-class RegistrationRecord:
-    """One registry registration site (``kind`` in solver/dataset/kernel/...)."""
-
-    kind: str
-    name: str
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
 class ModuleFacts:
     """Everything the project rules need to know about one module.
 
@@ -150,19 +118,15 @@ class ModuleFacts:
     symbols: dict[str, str] | None = None
     symbol_lines: dict[str, int] | None = None
     functions: dict[str, FunctionFacts] | None = None
-    dataclasses: dict[str, DataclassFacts] | None = None
     dunder_all: tuple[str, ...] | None = None
     dunder_all_lines: dict[str, int] | None = None
     star_import: bool = False
     used_names: tuple[str, ...] = ()
     mapper_calls: tuple[CallArgRef, ...] = ()
     job_refs: tuple[JobCallableRef, ...] = ()
-    registrations: tuple[RegistrationRecord, ...] = ()
-    cli_flags: dict[str, int] | None = None
 
     def __post_init__(self) -> None:
-        for label in ("symbols", "symbol_lines", "functions", "dataclasses",
-                      "dunder_all_lines", "cli_flags"):
+        for label in ("symbols", "symbol_lines", "functions", "dunder_all_lines"):
             if getattr(self, label) is None:
                 object.__setattr__(self, label, {})
 
@@ -184,15 +148,6 @@ _FANOUT_METHODS = frozenset({"map", "map_unordered"})
 #: Class names treated as shippable job dataclasses.
 _JOB_CLASS = re.compile(r"^[A-Z]\w*Job$")
 
-#: ``register_*(name, ...)`` registration families, keyed by callee name.
-_NAME_FIRST_KINDS = {"register_solver": "solver", "register_dataset": "dataset"}
-
-#: ``register_*(Entry(name=..., ...))`` registration families.
-_ENTRY_FIRST_KINDS = {
-    "register_kernel_backend": "kernel",
-    "register_executor": "executor",
-}
-
 
 def _iter_scope(node: ast.AST) -> Iterable[ast.AST]:
     """Walk a function body without descending into nested defs/lambdas."""
@@ -211,13 +166,8 @@ def _dotted(node: ast.AST) -> str | None:
 
 
 def _function_facts(
-    node: ast.FunctionDef | ast.AsyncFunctionDef, qualname: str, is_method: bool
+    node: ast.FunctionDef | ast.AsyncFunctionDef, qualname: str
 ) -> FunctionFacts:
-    args = node.args
-    positional = list(args.posonlyargs) + list(args.args)
-    if is_method and positional and positional[0].arg in ("self", "cls"):
-        positional = positional[1:]
-    param_lines = {arg.arg: arg.lineno for arg in positional + list(args.kwonlyargs)}
     nested = {
         inner.name
         for inner in ast.walk(node)
@@ -225,7 +175,6 @@ def _function_facts(
     }
     returns_nested = False
     returned_names: list[str] = []
-    calls: list[str] = []
     for child in _iter_scope(node):
         if isinstance(child, ast.Return) and child.value is not None:
             if isinstance(child.value, ast.Lambda):
@@ -235,20 +184,11 @@ def _function_facts(
                     returns_nested = True
                 else:
                     returned_names.append(child.value.id)
-        elif isinstance(child, ast.Call):
-            name = _dotted(child.func)
-            if name is not None:
-                calls.append(name)
     return FunctionFacts(
         qualname=qualname,
         line=node.lineno,
-        params=tuple(arg.arg for arg in positional),
-        kwonly=tuple(arg.arg for arg in args.kwonlyargs),
-        param_lines=param_lines,
-        has_kwargs=args.kwarg is not None,
         returns_nested=returns_nested,
         returned_names=tuple(dict.fromkeys(returned_names)),
-        calls=tuple(dict.fromkeys(calls)),
     )
 
 
@@ -260,54 +200,6 @@ def _is_dataclass_decorated(node: ast.ClassDef) -> bool:
         if chain is not None and chain[-1] == "dataclass":
             return True
     return False
-
-
-def _dataclass_facts(node: ast.ClassDef) -> DataclassFacts:
-    fields: list[str] = []
-    field_lines: dict[str, int] = {}
-    for statement in node.body:
-        if not isinstance(statement, ast.AnnAssign):
-            continue
-        if not isinstance(statement.target, ast.Name):
-            continue
-        annotation = ast.unparse(statement.annotation)
-        if "ClassVar" in annotation or "InitVar" in annotation:
-            continue
-        name = statement.target.id
-        if name.startswith("_"):
-            continue
-        fields.append(name)
-        field_lines[name] = statement.lineno
-    return DataclassFacts(
-        name=node.name, line=node.lineno, fields=tuple(fields), field_lines=field_lines
-    )
-
-
-def _registered_rule_name(node: ast.ClassDef) -> str | None:
-    """The RuleMeta name of a class decorated with ``@register_rule``."""
-    decorated = any(
-        (chain := attribute_chain(deco)) is not None and chain[-1] == "register_rule"
-        for deco in node.decorator_list
-    )
-    if not decorated:
-        return None
-    for statement in node.body:
-        if not isinstance(statement, ast.Assign):
-            continue
-        targets = [t.id for t in statement.targets if isinstance(t, ast.Name)]
-        if "meta" not in targets or not isinstance(statement.value, ast.Call):
-            continue
-        chain = attribute_chain(statement.value.func)
-        if chain is None or chain[-1] != "RuleMeta":
-            continue
-        for keyword in statement.value.keywords:
-            if (
-                keyword.arg == "name"
-                and isinstance(keyword.value, ast.Constant)
-                and isinstance(keyword.value.value, str)
-            ):
-                return keyword.value.value
-    return None
 
 
 def _fanout_context(node: ast.Call) -> str | None:
@@ -347,14 +239,11 @@ class _FactsCollector:
         self.symbols: dict[str, str] = {}
         self.symbol_lines: dict[str, int] = {}
         self.functions: dict[str, FunctionFacts] = {}
-        self.dataclasses: dict[str, DataclassFacts] = {}
         self.dunder_all: list[str] | None = None
         self.dunder_all_lines: dict[str, int] = {}
         self.star_import = False
         self.mapper_calls: list[CallArgRef] = []
         self.job_refs: list[JobCallableRef] = []
-        self.registrations: list[RegistrationRecord] = []
-        self.cli_flags: dict[str, int] = {}
 
     def collect(self, tree: ast.Module) -> ModuleFacts:
         self._module_scope(tree.body)
@@ -376,15 +265,12 @@ class _FactsCollector:
             symbols=self.symbols,
             symbol_lines=self.symbol_lines,
             functions=self.functions,
-            dataclasses=self.dataclasses,
             dunder_all=tuple(self.dunder_all) if self.dunder_all is not None else None,
             dunder_all_lines=self.dunder_all_lines,
             star_import=self.star_import,
             used_names=tuple(sorted(used)),
             mapper_calls=tuple(self.mapper_calls),
             job_refs=tuple(self.job_refs),
-            registrations=tuple(self.registrations),
-            cli_flags=self.cli_flags,
         )
 
     # -- module scope ---------------------------------------------------- #
@@ -392,19 +278,13 @@ class _FactsCollector:
         for statement in body:
             if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._bind(statement.name, "def", statement.lineno)
-                self.functions[statement.name] = _function_facts(
-                    statement, statement.name, is_method=False
-                )
+                self.functions[statement.name] = _function_facts(statement, statement.name)
             elif isinstance(statement, ast.ClassDef):
                 self._bind(statement.name, "class", statement.lineno)
                 for inner in statement.body:
                     if isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
                         qualname = f"{statement.name}.{inner.name}"
-                        self.functions[qualname] = _function_facts(
-                            inner, qualname, is_method=True
-                        )
-                if _is_dataclass_decorated(statement):
-                    self.dataclasses[statement.name] = _dataclass_facts(statement)
+                        self.functions[qualname] = _function_facts(inner, qualname)
             elif isinstance(statement, ast.Import):
                 self._collect_import(statement)
             elif isinstance(statement, ast.ImportFrom):
@@ -505,43 +385,6 @@ class _FactsCollector:
     # -- whole-tree call/class sites -------------------------------------- #
     def _inspect_call(self, node: ast.Call) -> None:
         chain = attribute_chain(node.func)
-        callee = chain[-1] if chain is not None else None
-        if callee in _NAME_FIRST_KINDS and node.args:
-            first = node.args[0]
-            if isinstance(first, ast.Constant) and isinstance(first.value, str):
-                self.registrations.append(
-                    RegistrationRecord(
-                        kind=_NAME_FIRST_KINDS[callee],
-                        name=first.value,
-                        line=node.lineno,
-                        col=node.col_offset,
-                    )
-                )
-        elif callee in _ENTRY_FIRST_KINDS and node.args:
-            entry = node.args[0]
-            if isinstance(entry, ast.Call):
-                for keyword in entry.keywords:
-                    if (
-                        keyword.arg == "name"
-                        and isinstance(keyword.value, ast.Constant)
-                        and isinstance(keyword.value.value, str)
-                    ):
-                        self.registrations.append(
-                            RegistrationRecord(
-                                kind=_ENTRY_FIRST_KINDS[callee],
-                                name=keyword.value.value,
-                                line=node.lineno,
-                                col=node.col_offset,
-                            )
-                        )
-        elif callee == "add_argument":
-            for arg in node.args:
-                if (
-                    isinstance(arg, ast.Constant)
-                    and isinstance(arg.value, str)
-                    and arg.value.startswith("--")
-                ):
-                    self.cli_flags.setdefault(arg.value, node.lineno)
         context = _fanout_context(node)
         if context is not None and node.args:
             target = _dotted(node.args[0])
@@ -583,13 +426,6 @@ class _FactsCollector:
                         )
 
     def _inspect_class(self, node: ast.ClassDef) -> None:
-        rule_name = _registered_rule_name(node)
-        if rule_name is not None:
-            self.registrations.append(
-                RegistrationRecord(
-                    kind="rule", name=rule_name, line=node.lineno, col=node.col_offset
-                )
-            )
         if _JOB_CLASS.match(node.name) and _is_dataclass_decorated(node):
             for statement in node.body:
                 if not isinstance(statement, ast.AnnAssign) or statement.value is None:
@@ -664,13 +500,7 @@ class ProjectIndex:
     ``transitive-picklability`` rule walks.
     """
 
-    def __init__(
-        self,
-        facts: Iterable[ModuleFacts],
-        *,
-        readme_path: str | None = None,
-        readme_text: str | None = None,
-    ) -> None:
+    def __init__(self, facts: Iterable[ModuleFacts]) -> None:
         self.modules: tuple[ModuleFacts, ...] = tuple(
             sorted(facts, key=lambda item: item.display_path)
         )
@@ -681,8 +511,6 @@ class ProjectIndex:
         for item in self.modules:
             if item.module:
                 self.by_module.setdefault(item.module, item)
-        self.readme_path = readme_path
-        self.readme_text = readme_text
         self._edges: dict[str, tuple[str, ...]] = {}
         for item in self.modules:
             targets: list[str] = []
@@ -703,13 +531,6 @@ class ProjectIndex:
     def imported_paths(self, display_path: str) -> tuple[str, ...]:
         """Display paths of the project modules ``display_path`` imports."""
         return self._edges.get(display_path, ())
-
-    def find_module(self, *suffixes: str) -> ModuleFacts | None:
-        """The first module (sorted by path) whose display path ends with a suffix."""
-        for item in self.modules:
-            if item.display_path.endswith(suffixes):
-                return item
-        return None
 
     # -- callable resolution ---------------------------------------------- #
     def resolve_callable(

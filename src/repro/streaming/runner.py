@@ -25,11 +25,11 @@ from typing import Any, Iterable, Protocol, runtime_checkable
 from repro import obs
 from repro.coverage.bipartite import BipartiteGraph
 from repro.errors import PassBudgetExceeded, ReproError
+from repro.obs import clock
 from repro.streaming.batches import EventBatch
 from repro.streaming.passes import MultiPassDriver
 from repro.streaming.space import SpaceMeter
 from repro.streaming.stream import EdgeStream, SetStream
-from repro.utils.timer import Stopwatch
 
 __all__ = [
     "StreamingAlgorithm",
@@ -200,15 +200,14 @@ class StreamingRunner:
         if batch_size is not None and batch_size < 1:
             raise ValueError(f"batch_size must be >= 1 or None, got {batch_size}")
         driver = MultiPassDriver(stream, max_passes=max_passes)
-        stopwatch = Stopwatch()
+        stream_seconds = 0.0
         events = 0
         pass_index = 0
         while True:
             observing = obs.enabled()
             events_before = events
-            with stopwatch.section("stream"), obs.span(
-                "stream.pass", index=pass_index, algorithm=algorithm.name
-            ):
+            started = clock.perf_counter()
+            with obs.span("stream.pass", index=pass_index, algorithm=algorithm.name):
                 algorithm.start_pass(pass_index)
                 if batch_size is None:
                     for event in driver.new_pass():
@@ -222,6 +221,7 @@ class StreamingRunner:
                             _BATCHES.inc()
                             _BATCH_SIZE.observe(len(batch))
                 algorithm.finish_pass(pass_index)
+            stream_seconds += clock.perf_counter() - started
             if observing:
                 _PASSES.inc()
                 _EVENTS.inc(events - events_before)
@@ -235,10 +235,10 @@ class StreamingRunner:
                 break
             if driver.remaining_passes() == 0:
                 raise PassBudgetExceeded(pass_index + 1, driver.max_passes)
-        with stopwatch.section("solve"), obs.span(
-            "stream.solve", algorithm=algorithm.name
-        ):
+        started = clock.perf_counter()
+        with obs.span("stream.solve", algorithm=algorithm.name):
             solution = tuple(dict.fromkeys(int(s) for s in algorithm.result()))
+        solve_seconds = clock.perf_counter() - started
         coverage = self._reference.coverage(solution)
         total_elements = self._reference.num_elements
         return StreamingReport(
@@ -252,7 +252,7 @@ class StreamingRunner:
             space_peak=algorithm.space.peak,
             space_budget=algorithm.space.budget,
             stream_events=events,
-            timings=stopwatch.as_dict(),
+            timings={"stream": stream_seconds, "solve": solve_seconds},
             extra=dict(extra or {}),
         )
 

@@ -1,4 +1,4 @@
-"""Shared utilities: RNG, validation, logging, timing, tables."""
+"""Shared utilities: RNG, validation, logging, tables."""
 
 from repro.utils.logging import configure, get_logger, kv
 from repro.utils.rng import (
@@ -10,7 +10,6 @@ from repro.utils.rng import (
     spawn_rng,
 )
 from repro.utils.tables import Table, render_grid, render_markdown
-from repro.utils.timer import Stopwatch, Timer, timed
 from repro.utils.validation import (
     check_fraction,
     check_in_range,
@@ -34,9 +33,6 @@ __all__ = [
     "Table",
     "render_grid",
     "render_markdown",
-    "Stopwatch",
-    "Timer",
-    "timed",
     "check_fraction",
     "check_in_range",
     "check_non_negative_int",

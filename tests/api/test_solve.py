@@ -17,6 +17,7 @@ from repro.api import (
 )
 from repro.datasets import planted_kcover_instance, planted_setcover_instance
 from repro.errors import SpaceBudgetExceeded, SpecError
+from repro.obs.clock import FakeClock, fake_clock
 from repro.streaming import SetStream, SpaceMeter, StreamingReport
 
 KCOVER_SOLVERS = [
@@ -333,6 +334,55 @@ class TestSession:
         report = session.run("kcover/sketch", options={"scale": 1.0})
         assert report.solution_size <= 2
         assert session.suite.rows[0].as_dict()["n"] == tiny_graph.num_sets
+
+    @pytest.mark.parametrize(
+        "spec_args",
+        [{"k": 3}, {"problem": "set_cover"}],
+        ids=["k", "set_cover"],
+    )
+    def test_session_takes_the_problem_spec_parameters(self, spec_args):
+        # The instance's own k is 8 and its kind k_cover: a Session that
+        # dropped the spec's k / problem would solve a different problem.
+        spec = ProblemSpec(
+            dataset="planted_kcover",
+            dataset_args={"num_sets": 40, "num_elements": 600, "k": 8, "seed": 3},
+            **spec_args,
+        )
+        session = Session(spec)
+        expected = solve(spec, "offline/greedy").solution
+        assert session.run("offline/greedy").solution == expected
+        if spec.problem == "set_cover":
+            assert session.reference_value is None  # no Opt_k for set cover
+
+    def test_explicit_session_keywords_override_the_spec(self):
+        spec = ProblemSpec(
+            k=3,
+            dataset="planted_kcover",
+            dataset_args={"num_sets": 40, "num_elements": 600, "k": 8, "seed": 3},
+        )
+        report = Session(spec, k=5).run("offline/greedy")
+        assert report.solution == solve(spec, "offline/greedy", k=5).solution
+        assert report.solution_size == 5
+
+
+class TestReportTimings:
+    def test_stream_time_is_summed_over_passes(self, setcover_instance):
+        # setcover/sketch with rounds=2 streams 2·2 − 1 = 3 passes; each pass
+        # reads the clock twice, as does the offline solve step.
+        with fake_clock(FakeClock(tick=0.25)):
+            report = solve(
+                setcover_instance,
+                "setcover/sketch",
+                options={"epsilon": 0.5, "rounds": 2, "max_guesses": 12},
+                seed=1,
+            )
+        assert report.passes == 3
+        assert report.timings == {"stream": 0.75, "solve": 0.25}
+
+    def test_offline_solve_is_timed(self, kcover_instance):
+        with fake_clock(FakeClock(tick=0.25)):
+            report = solve(kcover_instance, "offline/greedy")
+        assert report.timings == {"solve": 0.25}
 
 
 class TestCoverageBackendPlumbing:

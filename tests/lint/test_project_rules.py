@@ -1,4 +1,4 @@
-"""The four cross-module rules, each against a seeded synthetic violation.
+"""The two cross-module rules, each against a seeded synthetic violation.
 
 Every test builds a miniature project tree under ``tmp_path`` (the same
 ``src/<pkg>/...`` layout the real repo uses, so module names resolve), lints
@@ -18,12 +18,10 @@ from repro.lint import lint_paths
 from repro.lint.project import (
     CallArgRef,
     CallableResolution,
-    DataclassFacts,
     FunctionFacts,
     ImportRecord,
     JobCallableRef,
     ProjectIndex,
-    RegistrationRecord,
     collect_facts,
 )
 
@@ -38,86 +36,6 @@ def write_tree(root, files):
 def lint_tree(tmp_path, monkeypatch, rule, *paths):
     monkeypatch.chdir(tmp_path)
     return lint_paths(list(paths) or ["src"], rules=[rule])
-
-
-SPECS_MODULE = """\
-    from dataclasses import dataclass
-
-
-    @dataclass(frozen=True)
-    class ProblemSpec:
-        k: int = 1
-        reduce: str | None = None
-"""
-
-FACADE_MODULE = """\
-    def solve(problem, *, k=None, reduce=None):
-        return (problem, k, reduce)
-
-
-    class Session:
-        def __init__(self, *, k=None, reduce=None):
-            self.k = k
-            self.reduce = reduce
-"""
-
-CLI_WITHOUT_REDUCE = """\
-    import argparse
-
-
-    def build_parser():
-        parser = argparse.ArgumentParser()
-        parser.add_argument("--k", type=int)
-        return parser
-"""
-
-CLI_WITH_REDUCE = CLI_WITHOUT_REDUCE.replace(
-    'parser.add_argument("--k", type=int)',
-    'parser.add_argument("--k", type=int)\n'
-    '        parser.add_argument("--reduce", default=None)',
-)
-
-
-class TestKnobDrift:
-    def test_knob_missing_from_exactly_one_layer_is_caught(self, tmp_path, monkeypatch):
-        write_tree(tmp_path, {
-            "src/app/api/specs.py": SPECS_MODULE,
-            "src/app/api/facade.py": FACADE_MODULE,
-            "src/app/cli.py": CLI_WITHOUT_REDUCE,
-        })
-        report = lint_tree(tmp_path, monkeypatch, "knob-drift")
-        assert len(report.findings) == 1
-        finding = report.findings[0]
-        assert finding.path == "src/app/api/specs.py"
-        assert "ProblemSpec.reduce" in finding.message
-        assert "CLI flag" in finding.message  # names the missing layer
-
-    def test_threaded_knob_is_clean(self, tmp_path, monkeypatch):
-        write_tree(tmp_path, {
-            "src/app/api/specs.py": SPECS_MODULE,
-            "src/app/api/facade.py": FACADE_MODULE,
-            "src/app/cli.py": CLI_WITH_REDUCE,
-        })
-        report = lint_tree(tmp_path, monkeypatch, "knob-drift")
-        assert report.clean
-
-    def test_facade_knob_without_spec_field_is_caught(self, tmp_path, monkeypatch):
-        write_tree(tmp_path, {
-            "src/app/api/specs.py": SPECS_MODULE,
-            "src/app/api/facade.py": FACADE_MODULE.replace(
-                "def solve(problem, *, k=None, reduce=None):",
-                "def solve(problem, *, k=None, reduce=None, turbo=False):",
-            ),
-            "src/app/cli.py": CLI_WITH_REDUCE,
-        })
-        report = lint_tree(tmp_path, monkeypatch, "knob-drift")
-        assert [f.path for f in report.findings] == ["src/app/api/facade.py"]
-        assert "'turbo'" in report.findings[0].message
-
-    def test_tree_without_spec_layer_is_silent(self, tmp_path, monkeypatch):
-        write_tree(tmp_path, {"src/app/util.py": "def helper():\n    return 1\n"})
-        report = lint_tree(tmp_path, monkeypatch, "knob-drift")
-        assert report.clean
 
 
 FACTORY_MODULE = """\
@@ -187,78 +105,6 @@ class TestTransitivePicklability:
         report = lint_tree(tmp_path, monkeypatch, "transitive-picklability")
         assert len(report.findings) == 1
         assert "ShardJob" in report.findings[0].message
-
-
-README_WITH_TABLE = """\
-    # demo
-
-    | solver | what it is |
-    | --- | --- |
-    | `alpha/one` | the first |
-"""
-
-SOLVER_MODULE = """\
-    def register_solver(name, cls):
-        return cls
-
-
-    register_solver("alpha/one", object)
-    register_solver("alpha/two", object)
-"""
-
-
-class TestRegistryDocsSync:
-    def test_registered_name_absent_from_readme_is_caught(self, tmp_path, monkeypatch):
-        write_tree(tmp_path, {
-            "src/app/solvers.py": SOLVER_MODULE,
-            "README.md": README_WITH_TABLE,
-        })
-        report = lint_tree(tmp_path, monkeypatch, "registry-docs-sync")
-        assert len(report.findings) == 1
-        finding = report.findings[0]
-        assert finding.path == "src/app/solvers.py"
-        assert "'alpha/two'" in finding.message
-
-    def test_documented_name_without_registration_is_caught(self, tmp_path, monkeypatch):
-        write_tree(tmp_path, {
-            "src/app/solvers.py": SOLVER_MODULE.replace(
-                'register_solver("alpha/two", object)\n', ""
-            ),
-            "README.md": README_WITH_TABLE + "| `alpha/ghost` | vanished |\n",
-        })
-        report = lint_tree(tmp_path, monkeypatch, "registry-docs-sync")
-        assert len(report.findings) == 1
-        finding = report.findings[0]
-        assert finding.path.endswith("README.md")
-        assert "'alpha/ghost'" in finding.message
-        assert finding.line == 6  # the ghost row's line in README.md
-
-    def test_synced_table_is_clean(self, tmp_path, monkeypatch):
-        write_tree(tmp_path, {
-            "src/app/solvers.py": SOLVER_MODULE,
-            "README.md": README_WITH_TABLE + "| `alpha/two` | the second |\n",
-        })
-        report = lint_tree(tmp_path, monkeypatch, "registry-docs-sync")
-        assert report.clean
-
-    def test_registrations_without_any_table_are_caught(self, tmp_path, monkeypatch):
-        write_tree(tmp_path, {
-            "src/app/solvers.py": SOLVER_MODULE,
-            "README.md": "# demo\n\nno tables here\n",
-        })
-        report = lint_tree(tmp_path, monkeypatch, "registry-docs-sync")
-        assert len(report.findings) == 1
-        assert "no solver table" in report.findings[0].message
-
-    def test_test_tree_registrations_do_not_count(self, tmp_path, monkeypatch):
-        write_tree(tmp_path, {
-            "tests/test_fixture.py": SOLVER_MODULE,  # not under src/
-            "src/app/core.py": "def noop():\n    return None\n",
-            "README.md": "# demo\n",
-        })
-        monkeypatch.chdir(tmp_path)
-        report = lint_paths(["src", "tests"], rules=["registry-docs-sync"])
-        assert report.clean
 
 
 class TestExportHygiene:
@@ -365,10 +211,6 @@ class TestProjectIndexFacts:
         assert ImportRecord(module="app.work", name="handler", alias="h", line=2) in facts.imports
         assert isinstance(facts.functions["make"], FunctionFacts)
         assert facts.functions["make"].returns_nested
-        assert facts.dataclasses["ShardJob"] == DataclassFacts(
-            name="ShardJob", line=8, fields=("path",), field_lines={"path": 9}
-        )
-        assert RegistrationRecord(kind="solver", name="alpha/one", line=16, col=0) in facts.registrations
         assert any(
             isinstance(ref, CallArgRef) and ref.target == "h"
             for ref in facts.mapper_calls
@@ -409,9 +251,7 @@ class TestProjectIndexFacts:
         assert index.imported_paths("src/app/b.py") == ("src/app/a.py",)
 
 
-@pytest.mark.parametrize("rule", [
-    "knob-drift", "transitive-picklability", "registry-docs-sync", "export-hygiene",
-])
+@pytest.mark.parametrize("rule", ["transitive-picklability", "export-hygiene"])
 def test_project_rules_skip_per_file_runs(rule):
     # lint_source has no whole-tree index; project rules must not crash it.
     from repro.lint import lint_source

@@ -32,44 +32,8 @@ from repro.lint import (
 
 #: A miniature project with at least one finding for every registered rule:
 #: each file rule gets its planted-violation fixture, and each project rule a
-#: cross-module drift (knob missing from the CLI, a closure reaching a mapper,
-#: a registered name absent from the README table, a phantom ``__all__``).
+#: cross-module drift (a closure reaching a mapper, a phantom ``__all__``).
 VIOLATING_TREE = {
-    "README.md": """\
-        # demo
-
-        | solver | what it is |
-        | --- | --- |
-        | `alpha/one` | the first |
-    """,
-    "src/app/api/specs.py": """\
-        from dataclasses import dataclass
-
-
-        @dataclass(frozen=True)
-        class ProblemSpec:
-            k: int = 1
-            reduce: str | None = None
-    """,
-    "src/app/api/facade.py": """\
-        def solve(problem, *, k=None, reduce=None):
-            return (problem, k, reduce)
-
-
-        class Session:
-            def __init__(self, *, k=None, reduce=None):
-                self.k = k
-                self.reduce = reduce
-    """,
-    "src/app/cli.py": """\
-        import argparse
-
-
-        def build_parser():
-            parser = argparse.ArgumentParser()
-            parser.add_argument("--k", type=int)
-            return parser
-    """,
     "src/app/work.py": """\
         def make_handler():
             def inner(job):
@@ -85,14 +49,6 @@ VIOLATING_TREE = {
 
         def run(mapper, jobs):
             return mapper.map(handler, jobs)
-    """,
-    "src/app/solvers.py": """\
-        def register_solver(name, cls):
-            return cls
-
-
-        register_solver("alpha/one", object)
-        register_solver("alpha/two", object)
     """,
     "src/app/exports.py": """\
         __all__ = ["real", "phantom"]
@@ -178,7 +134,7 @@ class TestOnePassPerFile:
         report = lint_paths(["src"], rules=["all"])
         rules = {finding.rule for finding in report.findings}
         assert "syntax-error" in rules
-        assert {"knob-drift", "export-hygiene"} <= rules
+        assert {"transitive-picklability", "export-hygiene"} <= rules
 
     def test_project_finding_obeys_the_suppression_on_its_line(self, violating_tree):
         exports = violating_tree / "src/app/exports.py"
